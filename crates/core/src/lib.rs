@@ -21,9 +21,7 @@ pub mod slice;
 pub mod subspace;
 
 pub use contrast::{ContrastEstimator, DeviationTest, StatTest};
-pub use pipeline::{
-    FitBuilder, FitSummary, Hics, HicsParams, HicsResult, ScorerConfig, ShardFitSpec,
-};
+pub use pipeline::{FitBuilder, FitSummary, Hics, HicsParams, HicsResult, ShardFitSpec};
 pub use progress::{FitMetrics, FitObserver, NoopObserver};
 pub use search::{ScoredSubspace, SearchParams, SearchReport, SubspaceSearch};
 pub use slice::{SliceSampler, SliceSizing};

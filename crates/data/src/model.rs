@@ -115,12 +115,6 @@ pub fn artifact_checksum(bytes: &[u8]) -> u64 {
     fnv1a(fnv1a(FNV_OFFSET, &bytes[..64]), &bytes[HEADER_LEN..])
 }
 
-/// Pre-v2 name of the artifact error type. Every artifact failure is now a
-/// [`HicsError`] (which adds section/offset context and exit-code mapping);
-/// this alias keeps old spellings compiling.
-#[deprecated(note = "use HicsError")]
-pub type ModelError = HicsError;
-
 /// Which density-based scorer the model was fit for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScorerKind {

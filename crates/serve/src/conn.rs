@@ -7,11 +7,10 @@
 //! the completion fires back through the reactor), and drain responses from
 //! a per-connection [`OutBuf`] via vectored non-blocking writes.
 //!
-//! The wire behaviour is pinned to the blocking implementation bit for bit:
-//! the decoder mirrors [`crate::http::BodyReader`]'s framing, budgets and
-//! error strings exactly (an equivalence suite below feeds both the same
-//! bodies), and every status line / error body / timeout bound matches what
-//! `handle_connection` produced. Backpressure is explicit: when a peer
+//! The wire behaviour is pinned bit for bit: the decoder's framings, budgets
+//! and error strings are held to a golden table below under every read
+//! granularity, and the integration suites fix every status line, error
+//! body and timeout bound. Backpressure is explicit: when a peer
 //! stops reading and the outbound buffer crosses the reactor's high-water
 //! mark, the connection simply stops consuming input (interest drops to
 //! `EPOLLOUT`) until the buffer drains — no thread is pinned, nothing is
@@ -160,8 +159,7 @@ pub(crate) enum StreamEvent {
     End(Vec<u8>),
 }
 
-/// Decoder sub-state (the push-parser expansion of
-/// [`crate::http::BodyReader`]'s framing).
+/// Decoder sub-state: where the push parser stands in the body's framing.
 #[derive(Debug, Clone, Copy)]
 enum Dec {
     /// `Content-Length` body: bytes remaining.
@@ -179,11 +177,12 @@ enum Dec {
     Done,
 }
 
-/// Incremental, non-blocking equivalent of [`crate::http::BodyReader`]:
-/// bytes are *pushed* in as they arrive off the socket, line events come
-/// out. Framings, the per-consumed-byte budget, line-length discarding and
-/// every error string are byte-identical to the blocking reader — the
-/// equivalence tests below hold both against the same inputs.
+/// Incremental, non-blocking body decoder: bytes are *pushed* in as they
+/// arrive off the socket, line events come out. It decodes `Content-Length`
+/// and chunked framings under a budget charged per consumed byte (framing
+/// overhead included, so a body with no newlines still hits it) and
+/// discards over-long lines while keeping the stream in sync. Its events
+/// and error strings are pinned by the golden table below.
 pub(crate) struct StreamDecoder {
     state: Dec,
     consumed: usize,
@@ -224,8 +223,9 @@ impl StreamDecoder {
         matches!(self.state, Dec::Done)
     }
 
-    /// Runs one output byte through the line accumulator, mirroring
-    /// `BodyReader::read_line`'s handling exactly.
+    /// Runs one output byte through the line accumulator: `\n` ends a line
+    /// (a preceding `\r` is stripped), and a line longer than `max_line` is
+    /// consumed to its end but discarded, keeping the buffer bounded.
     fn take_line_byte(&mut self, b: u8, max_line: usize) -> Option<StreamEvent> {
         if b == b'\n' {
             if self.discarding {
@@ -258,9 +258,9 @@ impl StreamDecoder {
         let mut used = 0;
         loop {
             if let Dec::Done = self.state {
-                // Mirrors the blocking reader: a discarded line running to
-                // the end of the body reports TooLong first; End (with any
-                // final unterminated line) follows on the next call.
+                // A discarded line running to the end of the body reports
+                // TooLong first; End (with any final unterminated line)
+                // follows on the next call.
                 if self.discarding {
                     self.discarding = false;
                     return Ok((used, Some(StreamEvent::TooLong)));
@@ -320,9 +320,9 @@ impl StreamDecoder {
                         }
                     }
                 }
-                // The blocking reader consumes *both* terminator bytes
-                // before checking them, so the error (and the byte budget)
-                // lands on the second byte — replicate that.
+                // Both terminator bytes are consumed before either is
+                // checked, so the error (and the byte budget) lands on the
+                // second byte.
                 Dec::ChunkTerm(false) => {
                     self.term_bad = b != b'\r';
                     self.state = Dec::ChunkTerm(true);
@@ -566,8 +566,7 @@ impl Conn {
     }
 
     /// Reads once from the socket. Returns whether bytes (or EOF) arrived;
-    /// a fatal socket error closes the connection silently — exactly what
-    /// the blocking handler's error propagation did.
+    /// a fatal socket error closes the connection silently.
     fn read_some(&mut self) -> Result<bool, ()> {
         let mut tmp = [0u8; READ_CHUNK];
         loop {
@@ -683,10 +682,10 @@ impl Conn {
                         .position(|w| w == b"\r\n\r\n")
                         .map(|p| p + 4);
                     match end {
-                        // The blocking reader 431s the moment the head
-                        // exceeds the bound without its terminator having
-                        // completed — so a terminator ending past the bound
-                        // is too late.
+                        // The bound counts the terminator: a head is 431
+                        // the moment it exceeds the bound without its
+                        // terminator having completed, so a terminator
+                        // ending past the bound is too late.
                         Some(end) if end <= MAX_HEAD_BYTES => {
                             let parsed = parse_head_bytes(&avail[..end]);
                             self.inpos += end;
@@ -699,10 +698,6 @@ impl Conn {
                                 }
                                 Err(RequestError::Bad { status, msg }) => {
                                     self.respond(ctx, status, &error_body(&msg), true)
-                                }
-                                Err(_) => {
-                                    self.state = State::Closed;
-                                    return true;
                                 }
                             }
                         }
@@ -766,9 +761,8 @@ impl Conn {
                                 match ev {
                                     None => {
                                         if self.eof {
-                                            // Mid-body EOF: same Protocol
-                                            // error the blocking reader
-                                            // raises, reported in-stream.
+                                            // Mid-body EOF: a Protocol
+                                            // error, reported in-stream.
                                             exit = Some(StreamExit::Fail {
                                                 msg: BodyError::Protocol(
                                                     "connection closed mid-body".into(),
@@ -1093,12 +1087,10 @@ impl Conn {
         }
     }
 
-    /// Enforces the state's idle budget, mirroring what the blocking
-    /// handler's socket timeouts produced: silent close while waiting for a
+    /// Enforces the state's idle budget: silent close while waiting for a
     /// head or draining a response, `400` mid-sized-body, and an in-stream
     /// error line (then close) for an idle stream — unless the *peer* is
-    /// the one not draining its scores, which is a silent close just like a
-    /// blocking write timeout was.
+    /// the one not draining its scores, which is a silent close.
     pub(crate) fn on_timeout(&mut self, ctx: &Ctx) {
         enum T {
             Silent,
@@ -1141,8 +1133,8 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{write_response, BodyReader, LineRead};
-    use std::io::Cursor;
+    use crate::http::write_response;
+    use proptest::prelude::*;
 
     fn sized_head(len: usize) -> RequestHead {
         RequestHead {
@@ -1175,38 +1167,11 @@ mod tests {
         finished: bool,
     }
 
-    fn observe_blocking(
-        head: &RequestHead,
-        body: &[u8],
-        limit: usize,
-        max_line: usize,
-    ) -> Observed {
-        let mut cursor = Cursor::new(body.to_vec());
-        let mut reader = BodyReader::new(&mut cursor, head, limit);
-        let mut buf = Vec::new();
-        let mut events = Vec::new();
-        loop {
-            match reader.read_line(&mut buf, max_line) {
-                Ok(LineRead::Line) => {
-                    events.push(format!("line:{}", String::from_utf8_lossy(&buf)))
-                }
-                Ok(LineRead::TooLong) => events.push("toolong".into()),
-                Ok(LineRead::End) => {
-                    events.push(format!("end:{}", String::from_utf8_lossy(&buf)));
-                    return Observed {
-                        events,
-                        error: None,
-                        finished: reader.finished(),
-                    };
-                }
-                Err(e) => {
-                    return Observed {
-                        events,
-                        error: Some(e.to_string()),
-                        finished: reader.finished(),
-                    }
-                }
-            }
+    fn obs(events: &[&str], error: Option<&str>, finished: bool) -> Observed {
+        Observed {
+            events: events.iter().map(|e| e.to_string()).collect(),
+            error: error.map(str::to_string),
+            finished,
         }
     }
 
@@ -1241,7 +1206,7 @@ mod tests {
                         }
                         None => {
                             if pos >= body.len() {
-                                // EOF mid-body: the blocking reader raises
+                                // EOF mid-body: the connection reports
                                 // Protocol("connection closed mid-body").
                                 return Observed {
                                     events,
@@ -1263,44 +1228,106 @@ mod tests {
         }
     }
 
-    /// The decoder and the blocking reader must observe identical event
+    /// Golden framing table: the decoder must observe exactly these event
     /// sequences, errors and keep-alive verdicts on every body — across
     /// sized and chunked framings, malformed framing, blown byte budgets,
     /// over-long lines, and any socket read granularity.
     #[test]
-    fn decoder_matches_blocking_reader_on_every_framing() {
+    fn decoder_matches_golden_table_on_every_framing() {
         let chunked_ok =
             b"4\r\n[1,2\r\n3;ext=1\r\n,3]\r\n8\r\n\n[4,5,6]\r\n1\r\n\n\r\n0\r\nTrailer: x\r\n\r\n";
-        let cases: Vec<(RequestHead, Vec<u8>, usize, usize)> = vec![
+        let cases: Vec<(RequestHead, Vec<u8>, usize, usize, Observed)> = vec![
             (
                 sized_head(19),
                 b"[1,2]\n[3,4]\r\n\n[5,6]".to_vec(),
                 usize::MAX,
                 1024,
+                obs(
+                    &["line:[1,2]", "line:[3,4]", "line:", "end:[5,6]"],
+                    None,
+                    true,
+                ),
             ),
-            (sized_head(0), Vec::new(), usize::MAX, 1024),
+            (
+                sized_head(0),
+                Vec::new(),
+                usize::MAX,
+                1024,
+                obs(&["end:"], None, true),
+            ),
             (
                 sized_head(23),
                 b"0123456789abcdef\nshort\n".to_vec(),
                 usize::MAX,
                 8,
+                obs(&["toolong", "line:short", "end:"], None, true),
             ),
-            (sized_head(256), vec![b'x'; 256], 64, 1 << 20),
-            (sized_head(40), vec![b'y'; 40], usize::MAX, 8),
-            (chunked_head(), chunked_ok.to_vec(), usize::MAX, 1024),
-            (chunked_head(), b"zz\r\nhello\r\n".to_vec(), usize::MAX, 64),
-            (chunked_head(), b"5\r\nhelloXX".to_vec(), usize::MAX, 64),
-            (chunked_head(), b"5\r\nhel".to_vec(), usize::MAX, 64),
-            (chunked_head(), chunked_ok.to_vec(), 20, 1024),
+            (
+                sized_head(256),
+                vec![b'x'; 256],
+                64,
+                1 << 20,
+                obs(
+                    &[],
+                    Some("request body exceeds the 64-byte stream limit"),
+                    false,
+                ),
+            ),
+            (
+                sized_head(40),
+                vec![b'y'; 40],
+                usize::MAX,
+                8,
+                obs(&["toolong", "end:"], None, true),
+            ),
+            (
+                chunked_head(),
+                chunked_ok.to_vec(),
+                usize::MAX,
+                1024,
+                obs(&["line:[1,2,3]", "line:[4,5,6]", "end:"], None, true),
+            ),
+            (
+                chunked_head(),
+                b"zz\r\nhello\r\n".to_vec(),
+                usize::MAX,
+                64,
+                obs(&[], Some("bad chunk size \"zz\""), false),
+            ),
+            (
+                chunked_head(),
+                b"5\r\nhelloXX".to_vec(),
+                usize::MAX,
+                64,
+                obs(&[], Some("missing chunk terminator"), false),
+            ),
+            (
+                chunked_head(),
+                b"5\r\nhel".to_vec(),
+                usize::MAX,
+                64,
+                obs(&[], Some("connection closed mid-body"), false),
+            ),
+            (
+                chunked_head(),
+                chunked_ok.to_vec(),
+                20,
+                1024,
+                obs(
+                    &[],
+                    Some("request body exceeds the 20-byte stream limit"),
+                    false,
+                ),
+            ),
             (
                 chunked_head(),
                 b"2\r\nab\r\n0\r\n\r\n".to_vec(),
                 usize::MAX,
                 1024,
+                obs(&["end:ab"], None, true),
             ),
         ];
-        for (head, body, limit, max_line) in cases {
-            let want = observe_blocking(&head, &body, limit, max_line);
+        for (head, body, limit, max_line, want) in cases {
             for feed in [1, 3, 7, body.len().max(1)] {
                 let got = observe_push(&head, &body, limit, max_line, feed);
                 assert_eq!(
@@ -1313,23 +1340,113 @@ mod tests {
         }
     }
 
-    /// Truncated bodies (EOF mid-body) must match the blocking reader's
-    /// Protocol error.
+    /// Truncated bodies (EOF mid-body) report the connection closing
+    /// mid-body, with no events and no keep-alive.
     #[test]
-    fn decoder_reports_truncated_bodies_like_the_blocking_reader() {
+    fn decoder_reports_truncated_bodies_as_closed_mid_body() {
         for (head, body) in [
             (sized_head(50), &b"short"[..]),
             (chunked_head(), &b"5\r\nhel"[..]),
             (chunked_head(), &b"5\r\nhello\r\n3\r\nab"[..]),
         ] {
-            let want = observe_blocking(&head, body, usize::MAX, 64);
             let got = observe_push(&head, body, usize::MAX, 64, 2);
-            assert_eq!(got, want, "body {:?}", String::from_utf8_lossy(body));
             assert_eq!(
-                got.error.as_deref(),
-                Some("connection closed mid-body"),
-                "{got:?}"
+                got,
+                obs(&[], Some("connection closed mid-body"), false),
+                "body {:?}",
+                String::from_utf8_lossy(body)
             );
+        }
+    }
+
+    /// Chunk-encodes `payload` in pieces of `piece` bytes, with a terminal
+    /// chunk and an empty trailer section.
+    fn chunk_encode(payload: &[u8], piece: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for part in payload.chunks(piece) {
+            out.extend_from_slice(format!("{:x}\r\n", part.len()).as_bytes());
+            out.extend_from_slice(part);
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"0\r\n\r\n");
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile bodies — arbitrary bytes under a sized head, a chunked
+        /// head, or well-formed chunk framing with one byte flipped — fed
+        /// at arbitrary granularity under small budgets: the decoder never
+        /// panics, never consumes past its budget except by failing with
+        /// `TooLarge`, and never emits a line longer than `max_line`.
+        #[test]
+        fn hostile_bodies_respect_budget_and_line_bound(
+            mut payload in prop::collection::vec(any::<u8>(), 0..300),
+            newline_every in 0usize..24,
+            framing in 0usize..3,
+            declared in 0usize..320,
+            piece in 1usize..40,
+            corrupt_at in any::<u64>(),
+            feed in 1usize..17,
+            limit in 1usize..256,
+            max_line in 1usize..32,
+        ) {
+            if newline_every > 0 {
+                for b in payload.iter_mut().step_by(newline_every) {
+                    *b = b'\n';
+                }
+            }
+            let (head, body) = match framing {
+                0 => (sized_head(declared), payload),
+                1 => (chunked_head(), payload),
+                _ => {
+                    let mut body = chunk_encode(&payload, piece);
+                    let at = corrupt_at as usize % body.len();
+                    body[at] ^= ((corrupt_at >> 32) as u8).max(1);
+                    (chunked_head(), body)
+                }
+            };
+            let mut dec = StreamDecoder::new(&head, limit);
+            let mut pos = 0;
+            let mut calls = 0;
+            loop {
+                calls += 1;
+                prop_assert!(calls <= 2 * body.len() + 4, "decoder made no progress");
+                let upto = (pos + feed).min(body.len());
+                match dec.next(&body[pos..upto], max_line) {
+                    Ok((used, ev)) => {
+                        prop_assert!(used <= upto - pos);
+                        prop_assert!(dec.consumed <= limit, "consumed {} > limit {limit}", dec.consumed);
+                        pos += used;
+                        match ev {
+                            Some(StreamEvent::Line(l)) => {
+                                prop_assert!(l.len() <= max_line, "line of {} > {max_line}", l.len());
+                            }
+                            Some(StreamEvent::End(l)) => {
+                                prop_assert!(l.len() <= max_line, "line of {} > {max_line}", l.len());
+                                prop_assert!(dec.finished());
+                                break;
+                            }
+                            Some(StreamEvent::TooLong) => {}
+                            None => {
+                                if pos >= body.len() {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    Err(BodyError::TooLarge { limit: l }) => {
+                        prop_assert_eq!(l, limit);
+                        prop_assert_eq!(dec.consumed, limit);
+                        break;
+                    }
+                    Err(BodyError::Protocol(_)) => {
+                        prop_assert!(dec.consumed <= limit);
+                        break;
+                    }
+                }
+            }
         }
     }
 

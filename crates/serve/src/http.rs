@@ -1,21 +1,21 @@
-//! Minimal HTTP/1.1 request parsing and response writing over blocking
-//! streams — hand-rolled on `std::io`, no registry dependencies.
+//! Minimal HTTP/1.1 head parsing and response writing — hand-rolled on
+//! `std`, no registry dependencies.
 //!
-//! Supports what the scoring service needs: request line + headers,
-//! `Content-Length` bodies, persistent connections (HTTP/1.1 keep-alive
-//! semantics), and bounded header/body sizes so a hostile peer cannot make
-//! the server buffer unbounded input. Head parsing
-//! ([`read_head`]) is split from body consumption so the streaming v2
-//! endpoint can route on the head and then pull the body **incrementally**
-//! through a [`BodyReader`] — which also decodes `Transfer-Encoding:
-//! chunked`, the natural framing for an NDJSON stream of unknown length.
-//! Classic endpoints still read one sized body via [`read_sized_body`]
-//! (chunked bodies there keep answering `411 Length Required`, bitwise
-//! compatible with the v1 protocol), and responses of unknown length go out
+//! The reactor accumulates request bytes off non-blocking sockets and
+//! hands each complete head (request line + headers, through the blank
+//! line) to `parse_head_bytes`, which yields a [`RequestHead`]. The size
+//! limits here bound what a hostile peer can make the server buffer:
+//! heads past [`MAX_HEAD_BYTES`] answer `431`, classic bodies past
+//! [`MAX_BODY_BYTES`] answer `413`, and chunked bodies on classic
+//! endpoints answer `411 Length Required` (bitwise compatible with the v1
+//! protocol). Streaming bodies — `Content-Length` or `Transfer-Encoding:
+//! chunked`, the natural framing for an NDJSON stream of unknown length —
+//! are decoded incrementally by the reactor, which reports failures as
+//! [`BodyError`]s. Responses go out sized via [`write_response`], or
 //! chunked via [`write_chunked_head`] / [`write_chunk`] /
 //! [`finish_chunked`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Upper bound on request head (request line + headers) bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -61,13 +61,9 @@ pub struct Request {
     pub trace: Option<(u64, u64)>,
 }
 
-/// Why reading a request failed.
+/// Why a request head was rejected.
 #[derive(Debug)]
 pub enum RequestError {
-    /// The connection closed cleanly before a new request started.
-    Closed,
-    /// Socket-level failure mid-request.
-    Io(std::io::Error),
     /// The peer sent something that is not valid HTTP; the given status
     /// line + message should be returned before closing.
     Bad {
@@ -78,51 +74,8 @@ pub enum RequestError {
     },
 }
 
-impl From<std::io::Error> for RequestError {
-    fn from(e: std::io::Error) -> Self {
-        RequestError::Io(e)
-    }
-}
-
-/// Reads one HTTP/1.1 request head from the stream (up to and including the
-/// blank line). Returns [`RequestError::Closed`] on clean EOF before any
-/// request byte.
-pub fn read_head<S: Read>(stream: &mut S) -> Result<RequestHead, RequestError> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Read the head byte-by-byte until CRLFCRLF. Callers hand in a
-    // `BufReader` that lives for the whole connection (see
-    // `server::handle_connection`), so these reads are in-memory, not
-    // per-byte syscalls, and over-read pipelined bytes are retained.
-    loop {
-        let got = stream.read(&mut byte)?;
-        if got == 0 {
-            if head.is_empty() {
-                return Err(RequestError::Closed);
-            }
-            return Err(RequestError::Bad {
-                status: 400,
-                msg: "connection closed mid-request".into(),
-            });
-        }
-        head.push(byte[0]);
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(RequestError::Bad {
-                status: 431,
-                msg: "request head too large".into(),
-            });
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-    }
-    parse_head_bytes(&head)
-}
-
 /// Parses one fully buffered request head (request line + headers, through
-/// the terminating blank line) — the shared back half of [`read_head`],
-/// also driven by the non-blocking reactor once it has accumulated a
-/// complete head.
+/// the terminating blank line), once the reactor has accumulated it.
 pub(crate) fn parse_head_bytes(head: &[u8]) -> Result<RequestHead, RequestError> {
     let head = std::str::from_utf8(head).map_err(|_| RequestError::Bad {
         status: 400,
@@ -193,59 +146,13 @@ pub(crate) fn parse_head_bytes(head: &[u8]) -> Result<RequestHead, RequestError>
     })
 }
 
-/// Reads the sized body a classic (non-streaming) endpoint expects.
-/// Chunked bodies answer `411 Length Required` here — exactly the v1
-/// behaviour; streaming endpoints use [`BodyReader`] instead.
-pub fn read_sized_body<S: Read>(
-    stream: &mut S,
-    head: &RequestHead,
-) -> Result<Vec<u8>, RequestError> {
-    if head.chunked {
-        return Err(RequestError::Bad {
-            status: 411,
-            msg: "chunked bodies are not supported; send Content-Length".into(),
-        });
-    }
-    let len = head.content_length.unwrap_or(0);
-    if len > MAX_BODY_BYTES {
-        return Err(RequestError::Bad {
-            status: 413,
-            msg: format!("body of {len} bytes exceeds limit {MAX_BODY_BYTES}"),
-        });
-    }
-    let mut body = vec![0u8; len];
-    stream
-        .read_exact(&mut body)
-        .map_err(|_| RequestError::Bad {
-            status: 400,
-            msg: "connection closed mid-body".into(),
-        })?;
-    Ok(body)
-}
-
-/// Reads one full HTTP/1.1 request (head + sized body). Returns
-/// [`RequestError::Closed`] on clean EOF before any request byte.
-pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, RequestError> {
-    let head = read_head(stream)?;
-    let body = read_sized_body(stream, &head)?;
-    Ok(Request {
-        method: head.method,
-        path: head.path,
-        body,
-        close: head.close,
-        trace: head.trace,
-    })
-}
-
-/// Why pulling bytes out of a [`BodyReader`] failed.
+/// Why decoding a streaming request body failed.
 #[derive(Debug)]
 pub enum BodyError {
-    /// Socket-level failure (including idle-timeout expiry).
-    Io(std::io::Error),
     /// The chunked framing is malformed or the body ended prematurely —
     /// the connection cannot be resynchronised and must close.
     Protocol(String),
-    /// The body exceeded the reader's byte budget. Enforced on **every**
+    /// The body exceeded the decoder's byte budget. Enforced on **every**
     /// consumed byte (framing overhead included), so even a body with no
     /// newlines at all cannot push past the budget.
     TooLarge {
@@ -254,227 +161,12 @@ pub enum BodyError {
     },
 }
 
-impl From<std::io::Error> for BodyError {
-    fn from(e: std::io::Error) -> Self {
-        BodyError::Io(e)
-    }
-}
-
 impl std::fmt::Display for BodyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BodyError::Io(e) => write!(f, "I/O error: {e}"),
             BodyError::Protocol(msg) => write!(f, "{msg}"),
             BodyError::TooLarge { limit } => {
                 write!(f, "request body exceeds the {limit}-byte stream limit")
-            }
-        }
-    }
-}
-
-/// Result of [`BodyReader::read_line`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum LineRead {
-    /// One line is in the buffer (terminator stripped).
-    Line,
-    /// The line exceeded the buffer bound; the remainder up to the next
-    /// newline was consumed and discarded, so the stream is still in sync.
-    TooLong,
-    /// The body is exhausted (the buffer holds any final unterminated
-    /// line — empty if none).
-    End,
-}
-
-#[derive(Clone, Copy)]
-enum Framing {
-    /// `Content-Length` body: this many bytes remain.
-    Sized(usize),
-    /// Chunked body: bytes remaining in the current chunk (`None` before
-    /// the first chunk header and after a chunk boundary).
-    Chunked(Option<usize>),
-    /// Terminal chunk seen / sized body exhausted.
-    Done,
-}
-
-/// Incremental reader over one request body, decoding both framings under
-/// a hard byte budget (checked per consumed byte — line structure cannot
-/// bypass it).
-pub struct BodyReader<'a, S: Read> {
-    stream: &'a mut S,
-    framing: Framing,
-    consumed: usize,
-    limit: usize,
-}
-
-impl<'a, S: Read> BodyReader<'a, S> {
-    /// Wraps the connection stream for `head`'s body. At most `limit`
-    /// body bytes (framing overhead included) will be consumed; the read
-    /// crossing the budget fails with [`BodyError::TooLarge`].
-    pub fn new(stream: &'a mut S, head: &RequestHead, limit: usize) -> Self {
-        let framing = if head.chunked {
-            Framing::Chunked(None)
-        } else {
-            match head.content_length.unwrap_or(0) {
-                0 => Framing::Done,
-                n => Framing::Sized(n),
-            }
-        };
-        Self {
-            stream,
-            framing,
-            consumed: 0,
-            limit,
-        }
-    }
-
-    /// Total body bytes consumed so far (chunk framing overhead included).
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Whether the body has been fully consumed (safe to keep the
-    /// connection alive for the next request).
-    pub fn finished(&self) -> bool {
-        matches!(self.framing, Framing::Done)
-    }
-
-    fn read_raw_byte(&mut self) -> Result<u8, BodyError> {
-        if self.consumed >= self.limit {
-            return Err(BodyError::TooLarge { limit: self.limit });
-        }
-        let mut b = [0u8; 1];
-        let got = self.stream.read(&mut b)?;
-        if got == 0 {
-            return Err(BodyError::Protocol("connection closed mid-body".into()));
-        }
-        self.consumed += 1;
-        Ok(b[0])
-    }
-
-    /// Reads the `\r\n`-terminated chunk-size line (hex size, optional
-    /// `;extensions` ignored).
-    fn read_chunk_size(&mut self) -> Result<usize, BodyError> {
-        let mut line = Vec::with_capacity(16);
-        loop {
-            let b = self.read_raw_byte()?;
-            if b == b'\n' {
-                break;
-            }
-            line.push(b);
-            if line.len() > 128 {
-                return Err(BodyError::Protocol("chunk size line too long".into()));
-            }
-        }
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        let text = std::str::from_utf8(&line)
-            .map_err(|_| BodyError::Protocol("chunk size is not UTF-8".into()))?;
-        let hex = text.split(';').next().unwrap_or("").trim();
-        usize::from_str_radix(hex, 16)
-            .map_err(|_| BodyError::Protocol(format!("bad chunk size {hex:?}")))
-    }
-
-    /// Consumes the CRLF that terminates each chunk's data.
-    fn read_chunk_terminator(&mut self) -> Result<(), BodyError> {
-        let cr = self.read_raw_byte()?;
-        let lf = self.read_raw_byte()?;
-        if cr != b'\r' || lf != b'\n' {
-            return Err(BodyError::Protocol("missing chunk terminator".into()));
-        }
-        Ok(())
-    }
-
-    /// Consumes any trailer lines after the terminal chunk, through the
-    /// final empty line.
-    fn read_trailers(&mut self) -> Result<(), BodyError> {
-        let mut line_len = 0usize;
-        loop {
-            let b = self.read_raw_byte()?;
-            if b == b'\n' {
-                if line_len == 0 {
-                    return Ok(());
-                }
-                line_len = 0;
-            } else if b != b'\r' {
-                line_len += 1;
-                if line_len > MAX_HEAD_BYTES {
-                    return Err(BodyError::Protocol("trailer section too large".into()));
-                }
-            }
-        }
-    }
-
-    /// The next body byte, or `None` at the end of the body.
-    fn next_byte(&mut self) -> Result<Option<u8>, BodyError> {
-        loop {
-            match self.framing {
-                Framing::Done => return Ok(None),
-                Framing::Sized(remaining) => {
-                    let b = self.read_raw_byte()?;
-                    self.framing = if remaining == 1 {
-                        Framing::Done
-                    } else {
-                        Framing::Sized(remaining - 1)
-                    };
-                    return Ok(Some(b));
-                }
-                Framing::Chunked(Some(remaining)) => {
-                    let b = self.read_raw_byte()?;
-                    if remaining == 1 {
-                        self.read_chunk_terminator()?;
-                        self.framing = Framing::Chunked(None);
-                    } else {
-                        self.framing = Framing::Chunked(Some(remaining - 1));
-                    }
-                    return Ok(Some(b));
-                }
-                Framing::Chunked(None) => {
-                    let size = self.read_chunk_size()?;
-                    if size == 0 {
-                        self.read_trailers()?;
-                        self.framing = Framing::Done;
-                        return Ok(None);
-                    }
-                    self.framing = Framing::Chunked(Some(size));
-                }
-            }
-        }
-    }
-
-    /// Reads the next `\n`-terminated line into `buf` (cleared first; the
-    /// terminator and a preceding `\r` are stripped). A line longer than
-    /// `max_line` is consumed to its end but **discarded**, keeping both the
-    /// stream in sync and the buffer bounded.
-    pub fn read_line(&mut self, buf: &mut Vec<u8>, max_line: usize) -> Result<LineRead, BodyError> {
-        buf.clear();
-        let mut discarding = false;
-        loop {
-            match self.next_byte()? {
-                None => {
-                    if discarding {
-                        return Ok(LineRead::TooLong);
-                    }
-                    return Ok(LineRead::End);
-                }
-                Some(b'\n') => {
-                    if discarding {
-                        return Ok(LineRead::TooLong);
-                    }
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return Ok(LineRead::Line);
-                }
-                Some(b) => {
-                    if !discarding {
-                        buf.push(b);
-                        if buf.len() > max_line {
-                            buf.clear();
-                            discarding = true;
-                        }
-                    }
-                }
             }
         }
     }
@@ -600,60 +292,46 @@ pub fn error_body(msg: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use proptest::prelude::*;
 
-    fn parse(raw: &str) -> Result<Request, RequestError> {
-        read_request(&mut Cursor::new(raw.as_bytes().to_vec()))
+    fn parse(raw: &str) -> Result<RequestHead, RequestError> {
+        parse_head_bytes(raw.as_bytes())
     }
 
     #[test]
     fn parses_get_without_body() {
-        let r = parse("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        assert_eq!(r.method, "GET");
-        assert_eq!(r.path, "/healthz");
-        assert!(r.body.is_empty());
-        assert!(!r.close);
+        let h = parse("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        assert_eq!(h.method, "GET");
+        assert_eq!(h.path, "/healthz");
+        assert_eq!(h.content_length, None);
+        assert!(!h.chunked);
+        assert!(!h.close);
     }
 
     #[test]
-    fn parses_post_with_body_and_connection_close() {
-        let r = parse(
-            "POST /score HTTP/1.1\r\nContent-Length: 9\r\nConnection: close\r\n\r\n{\"p\":[1]}",
-        )
-        .unwrap();
-        assert_eq!(r.method, "POST");
-        assert_eq!(r.body, b"{\"p\":[1]}");
-        assert!(r.close);
+    fn parses_post_with_content_length_and_connection_close() {
+        let h = parse("POST /score HTTP/1.1\r\nContent-Length: 9\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        assert_eq!(h.method, "POST");
+        assert_eq!(h.content_length, Some(9));
+        assert!(h.close);
     }
 
     #[test]
     fn http10_defaults_to_close() {
-        let r = parse("GET / HTTP/1.0\r\n\r\n").unwrap();
-        assert!(r.close);
-        let r = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
-        assert!(!r.close);
+        let h = parse("GET / HTTP/1.0\r\n\r\n").unwrap();
+        assert!(h.close);
+        let h = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        assert!(!h.close);
     }
 
     #[test]
-    fn clean_eof_reports_closed() {
-        assert!(matches!(parse(""), Err(RequestError::Closed)));
-    }
-
-    #[test]
-    fn malformed_inputs_get_4xx() {
+    fn malformed_heads_get_4xx() {
         for (raw, want) in [
             ("nonsense\r\n\r\n", 400),
             ("GET /x HTTP/2.0\r\n\r\n", 505),
             ("GET /x HTTP/1.1\r\nContent-Length: zap\r\n\r\n", 400),
-            (
-                "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                411,
-            ),
             ("GET x HTTP/1.1\r\n\r\n", 400),
-            (
-                "POST /x HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
-                413,
-            ),
         ] {
             match parse(raw) {
                 Err(RequestError::Bad { status, .. }) => {
@@ -665,20 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn head_reports_chunked_framing_without_consuming_the_body() {
-        let raw =
-            "POST /v2/score HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
-        let mut cursor = Cursor::new(raw.as_bytes().to_vec());
-        let head = read_head(&mut cursor).unwrap();
-        assert!(head.chunked);
-        assert_eq!(head.content_length, None);
-        assert_eq!(cursor.position() as usize, raw.find("5\r\n").unwrap());
-    }
-
-    #[test]
-    fn truncated_body_is_bad_request() {
-        let r = parse("POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort");
-        assert!(matches!(r, Err(RequestError::Bad { status: 400, .. })));
+    fn head_reports_chunked_framing() {
+        let h = parse("POST /v2/score HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap();
+        assert!(h.chunked);
+        assert_eq!(h.content_length, None);
     }
 
     #[test]
@@ -694,17 +362,17 @@ mod tests {
 
     #[test]
     fn trace_header_is_parsed_and_bad_values_ignored() {
-        let r = parse(
+        let h = parse(
             "POST /score HTTP/1.1\r\nx-hics-trace: 00000000000000ab-00000000000000cd\r\n\
              Content-Length: 0\r\n\r\n",
         )
         .unwrap();
-        assert_eq!(r.trace, Some((0xab, 0xcd)));
-        let r = parse("POST /score HTTP/1.1\r\nX-Hics-Trace: junk\r\nContent-Length: 0\r\n\r\n")
+        assert_eq!(h.trace, Some((0xab, 0xcd)));
+        let h = parse("POST /score HTTP/1.1\r\nX-Hics-Trace: junk\r\nContent-Length: 0\r\n\r\n")
             .unwrap();
-        assert_eq!(r.trace, None, "malformed header is ignored, not fatal");
-        let r = parse("GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(r.trace, None);
+        assert_eq!(h.trace, None, "malformed header is ignored, not fatal");
+        let h = parse("GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(h.trace, None);
     }
 
     /// The traced writer with no trace must produce byte-identical output
@@ -743,128 +411,6 @@ mod tests {
         );
     }
 
-    fn lines_of(head: &RequestHead, body: &str, max_line: usize) -> (Vec<String>, Vec<LineRead>) {
-        let mut cursor = Cursor::new(body.as_bytes().to_vec());
-        let mut reader = BodyReader::new(&mut cursor, head, usize::MAX);
-        let mut buf = Vec::new();
-        let mut lines = Vec::new();
-        let mut statuses = Vec::new();
-        loop {
-            let status = reader.read_line(&mut buf, max_line).unwrap();
-            let is_end = status == LineRead::End;
-            lines.push(String::from_utf8(buf.clone()).unwrap());
-            statuses.push(status);
-            if is_end {
-                return (lines, statuses);
-            }
-        }
-    }
-
-    fn sized_head(len: usize) -> RequestHead {
-        RequestHead {
-            method: "POST".into(),
-            path: "/v2/score".into(),
-            content_length: Some(len),
-            chunked: false,
-            close: false,
-            trace: None,
-        }
-    }
-
-    fn chunked_head() -> RequestHead {
-        RequestHead {
-            method: "POST".into(),
-            path: "/v2/score".into(),
-            content_length: None,
-            chunked: true,
-            close: false,
-            trace: None,
-        }
-    }
-
-    #[test]
-    fn body_reader_splits_sized_bodies_into_lines() {
-        let body = "[1,2]\n[3,4]\r\n\n[5,6]";
-        let (lines, statuses) = lines_of(&sized_head(body.len()), body, 1024);
-        assert_eq!(lines, ["[1,2]", "[3,4]", "", "[5,6]"]);
-        assert_eq!(statuses.last(), Some(&LineRead::End));
-        // The final unterminated line arrives with End.
-        assert_eq!(statuses.iter().filter(|s| **s == LineRead::Line).count(), 3);
-    }
-
-    #[test]
-    fn body_reader_decodes_multi_chunk_bodies_across_line_boundaries() {
-        // One NDJSON line split mid-number across three chunks, plus a
-        // second line in the last chunk with extensions and trailers.
-        let body =
-            "4\r\n[1,2\r\n3;ext=1\r\n,3]\r\n8\r\n\n[4,5,6]\r\n1\r\n\n\r\n0\r\nTrailer: x\r\n\r\n";
-        let (lines, _) = lines_of(&chunked_head(), body, 1024);
-        assert_eq!(lines, ["[1,2,3]", "[4,5,6]", ""]);
-    }
-
-    /// A body with no newline at all must still hit the byte budget — the
-    /// stream-level bound cannot be dodged by never terminating a line.
-    #[test]
-    fn body_reader_enforces_its_byte_budget_even_without_newlines() {
-        let body = "x".repeat(256);
-        let mut cursor = Cursor::new(body.as_bytes().to_vec());
-        let head = sized_head(body.len());
-        let mut reader = BodyReader::new(&mut cursor, &head, 64);
-        let mut buf = Vec::new();
-        // max_line far above the budget: the budget must fire first.
-        match reader.read_line(&mut buf, 1 << 20) {
-            Err(BodyError::TooLarge { limit: 64 }) => {}
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
-        assert!(reader.consumed() <= 64);
-    }
-
-    #[test]
-    fn body_reader_bounds_line_length_but_keeps_the_stream_in_sync() {
-        let body = "0123456789abcdef\nshort\n";
-        let mut cursor = Cursor::new(body.as_bytes().to_vec());
-        let head = sized_head(body.len());
-        let mut reader = BodyReader::new(&mut cursor, &head, usize::MAX);
-        let mut buf = Vec::new();
-        assert!(matches!(
-            reader.read_line(&mut buf, 8).unwrap(),
-            LineRead::TooLong
-        ));
-        assert!(buf.len() <= 8, "buffer stayed bounded");
-        assert!(matches!(
-            reader.read_line(&mut buf, 8).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(buf, b"short");
-        assert!(matches!(
-            reader.read_line(&mut buf, 8).unwrap(),
-            LineRead::End
-        ));
-        assert!(reader.finished());
-    }
-
-    #[test]
-    fn body_reader_rejects_malformed_chunk_framing() {
-        for body in ["zz\r\nhello\r\n", "5\r\nhelloXX", "5\r\nhel"] {
-            let mut cursor = Cursor::new(body.as_bytes().to_vec());
-            let head = chunked_head();
-            let mut reader = BodyReader::new(&mut cursor, &head, usize::MAX);
-            let mut buf = Vec::new();
-            let mut failed = false;
-            for _ in 0..8 {
-                match reader.read_line(&mut buf, 64) {
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(LineRead::End) => break,
-                    Ok(_) => {}
-                }
-            }
-            assert!(failed, "{body:?} was accepted");
-        }
-    }
-
     #[test]
     fn chunked_response_round_trips() {
         let mut out = Vec::new();
@@ -877,5 +423,28 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked\r\n"));
         assert!(text.contains("c\r\n{\"score\":1}\n\r\n"), "{text}");
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes (optionally behind a plausible request line)
+        /// never panic the head parser: it answers a head or a `Bad`
+        /// status the reactor can send back.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_head_parser(
+            junk in prop::collection::vec(any::<u8>(), 0..256),
+            prefixed in any::<bool>(),
+        ) {
+            let mut raw = if prefixed { b"POST /score HTTP/1.1\r\n".to_vec() } else { Vec::new() };
+            raw.extend_from_slice(&junk);
+            raw.extend_from_slice(b"\r\n\r\n");
+            match parse_head_bytes(&raw) {
+                Ok(head) => prop_assert!(head.path.starts_with('/')),
+                Err(RequestError::Bad { status, .. }) => {
+                    prop_assert!(status == 400 || status == 505, "status {status}")
+                }
+            }
+        }
     }
 }

@@ -3,15 +3,16 @@
 //! The serving layer of the train-once/serve-many pipeline:
 //!
 //! * [`json`] — hand-rolled JSON parsing/serialisation (no registry deps).
-//! * [`http`] — minimal HTTP/1.1 request/response over blocking streams.
+//! * [`http`] — minimal HTTP/1.1 head parsing and response writing.
 //! * [`batch`] — the cross-connection request batcher: concurrent requests
 //!   coalesce into contiguous scoring batches, resolved through the shared
 //!   [`hics_outlier::EngineHandle`] so models hot-swap at batch boundaries.
 //! * [`client`] — client-side keep-alive connections and per-address
 //!   pools (the transport under the `hics route` scatter-gather tier).
-//! * [`server`] — the `TcpListener` accept loop, connection handlers, and
-//!   the `/score`, `/v2/score` (streaming NDJSON), `/admin/reload`,
-//!   `/healthz`, `/model`, `/stats`, `/metrics` endpoints.
+//! * [`server`] — the epoll reactor core (one `SO_REUSEPORT` listener and
+//!   event loop per reactor thread, non-blocking per-connection state
+//!   machines) and the `/score`, `/v2/score` (streaming NDJSON),
+//!   `/admin/reload`, `/healthz`, `/model`, `/stats`, `/metrics` endpoints.
 //!
 //! Every counter, gauge and latency histogram the server keeps lives in one
 //! shared [`hics_obs::Registry`]: `/stats` renders its legacy JSON from it
@@ -35,14 +36,15 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("hics-serve serves through an epoll reactor and builds only on Linux");
+
 pub mod batch;
 pub mod client;
-#[cfg(target_os = "linux")]
 mod conn;
 pub mod http;
 pub mod json;
 mod metrics;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod server;
 

@@ -124,8 +124,7 @@ impl ServeMetrics {
         }
     }
 
-    /// The labeled counter set for reactor `id` (0 = the main thread; the
-    /// blocking fallback reports all its traffic as reactor 0).
+    /// The labeled counter set for reactor `id` (0 = the main thread).
     pub(crate) fn reactor(&self, id: usize) -> Arc<ReactorMetrics> {
         let labels = || vec![("reactor", id.to_string())];
         Arc::new(ReactorMetrics {

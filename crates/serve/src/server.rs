@@ -1,4 +1,4 @@
-//! The scoring server. On Linux this is a non-blocking epoll reactor core:
+//! The scoring server, a non-blocking epoll reactor core:
 //! [`ServeConfig::reactor_threads`] reactor threads, each owning its own
 //! `SO_REUSEPORT` listener, epoll instance and connection slab, drive
 //! per-connection state machines ([`crate::conn`]) with level-triggered
@@ -7,8 +7,6 @@
 //! [`Batcher`] and the connection parks (zero threads held) until the
 //! batch completion is funnelled back through an eventfd; responses drain
 //! through per-connection outbound buffers with explicit backpressure.
-//! On other platforms a blocking thread-per-connection fallback serves the
-//! identical wire protocol.
 //!
 //! The engine is resolved through an atomically swappable
 //! [`EngineHandle`] so a model can be hot-reloaded under live traffic.
@@ -41,22 +39,11 @@
 
 use crate::batch::{BatchReply, BatchStats, Batcher};
 use crate::http::{error_body, Request, RequestHead};
-#[cfg(not(target_os = "linux"))]
-use crate::http::{
-    finish_chunked, read_head, read_sized_body, write_chunk, write_chunked_head, write_response,
-    write_response_traced, BodyError, BodyReader, LineRead, RequestError,
-};
 use crate::json::{self, Json};
-#[cfg(not(target_os = "linux"))]
-use crate::metrics::content_type_for;
 use crate::metrics::{EngineRecorder, ServeMetrics};
-#[cfg(not(target_os = "linux"))]
-use hics_obs::Stage;
 use hics_obs::{Counter, Gauge, Registry, Span, SpanStatus, Timeline, Tracer, STAGES};
 use hics_outlier::{Engine, EngineHandle, IndexKind};
-#[cfg(not(target_os = "linux"))]
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -243,7 +230,7 @@ pub(crate) struct ReloadSource {
     index: Option<IndexKind>,
 }
 
-/// Everything a connection needs — cheap to clone per reactor/handler.
+/// Everything a connection needs — cheap to clone per reactor.
 #[derive(Clone)]
 pub(crate) struct Ctx {
     pub(crate) handle: Arc<EngineHandle>,
@@ -271,20 +258,16 @@ pub struct Server {
 pub struct ShutdownHandle {
     stop: Arc<AtomicBool>,
     wakes: WakeSet,
-    addr: std::net::SocketAddr,
 }
 
 impl ShutdownHandle {
     /// Asks the serving loops to exit. Safe to call more than once.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Kick every reactor out of its poll wait…
+        // Kick every reactor out of its poll wait.
         for wake in self.wakes.lock().expect("wake set").iter() {
             wake();
         }
-        // …and unblock a (blocking, pre-reactor) accept with a throwaway
-        // connection.
-        let _ = TcpStream::connect(self.addr);
     }
 }
 
@@ -324,10 +307,7 @@ impl Server {
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
     ) -> std::io::Result<Self> {
-        #[cfg(target_os = "linux")]
         let listener = crate::reactor::bind_listener(&config.addr)?;
-        #[cfg(not(target_os = "linux"))]
-        let listener = TcpListener::bind(&config.addr)?;
         let reactors = match config.reactor_threads {
             0 => hics_outlier::parallel::available_threads().min(4),
             n => n,
@@ -364,8 +344,8 @@ impl Server {
     }
 
     /// Registers an extra read-only `GET` endpoint. The handler runs on
-    /// the serving path (an event loop on Linux), so it must return
-    /// quickly from in-memory state — no blocking I/O.
+    /// the serving path (an event loop), so it must return quickly from
+    /// in-memory state — no blocking I/O.
     pub fn register_admin(
         &self,
         path: impl Into<String>,
@@ -403,19 +383,16 @@ impl Server {
         Ok(ShutdownHandle {
             stop: Arc::clone(&self.stop),
             wakes: Arc::clone(&self.wakes),
-            addr: self.local_addr()?,
         })
     }
 
     /// Runs the serving core until a [`ShutdownHandle`] fires.
     ///
-    /// On Linux this spawns [`ServeConfig::reactor_threads`] epoll
-    /// reactors (each with its own `SO_REUSEPORT` listener on the bound
-    /// address; the kernel spreads accepts across them) and drives one on
-    /// the calling thread. Connections beyond
-    /// [`ServeConfig::max_connections`] are shed with `503`; scoring goes
-    /// through the shared batcher.
-    #[cfg(target_os = "linux")]
+    /// Spawns [`ServeConfig::reactor_threads`] epoll reactors (each with
+    /// its own `SO_REUSEPORT` listener on the bound address; the kernel
+    /// spreads accepts across them) and drives one on the calling thread.
+    /// Connections beyond [`ServeConfig::max_connections`] are shed with
+    /// `503`; scoring goes through the shared batcher.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
         let mut joins = Vec::new();
@@ -440,199 +417,6 @@ impl Server {
         }
         self.ctx.batcher.shutdown();
         Ok(())
-    }
-
-    /// Runs the accept loop until a [`ShutdownHandle`] fires. Each accepted
-    /// connection gets a detached handler thread speaking HTTP/1.1
-    /// keep-alive (bounded by `max_connections`; excess clients are shed
-    /// with `503`); scoring goes through the shared batcher.
-    #[cfg(not(target_os = "linux"))]
-    pub fn run(self) -> std::io::Result<()> {
-        for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let mut stream = match conn {
-                Ok(s) => s,
-                // Transient accept errors (e.g. ECONNABORTED) must not kill
-                // the server — but persistent ones (EMFILE when out of fds)
-                // would otherwise busy-spin the accept thread; back off.
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            };
-            // Load shedding: never take on more handler threads (and their
-            // fds) than configured.
-            if self.ctx.conns.active.get().max(0) as usize >= self.ctx.config.max_connections {
-                self.ctx.conns.shed.inc();
-                let _ = write_response(
-                    &mut stream,
-                    503,
-                    &error_body("server is at its connection limit"),
-                    true,
-                );
-                continue;
-            }
-            self.ctx.conns.accepted.inc();
-            self.ctx.conns.active.add(1);
-            let ctx = self.ctx.clone();
-            std::thread::spawn(move || {
-                let _ = handle_connection(stream, &ctx);
-                ctx.conns.active.add(-1);
-            });
-        }
-        self.ctx.batcher.shutdown();
-        Ok(())
-    }
-}
-
-/// A socket wrapper that charges every byte crossing it to the shared
-/// per-reactor I/O counters. The blocking fallback has no reactors, so
-/// the whole path reports as reactor `0` — `hics_reactor_bytes_*` on
-/// `/metrics` reconciles with traffic on both serving cores.
-#[cfg(not(target_os = "linux"))]
-struct CountingStream {
-    inner: TcpStream,
-    io: Arc<crate::metrics::ReactorMetrics>,
-}
-
-#[cfg(not(target_os = "linux"))]
-impl CountingStream {
-    fn try_clone(&self) -> std::io::Result<Self> {
-        Ok(Self {
-            inner: self.inner.try_clone()?,
-            io: Arc::clone(&self.io),
-        })
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        self.inner.set_read_timeout(t)
-    }
-
-    fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        self.inner.set_write_timeout(t)
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl std::io::Read for CountingStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = std::io::Read::read(&mut self.inner, buf)?;
-        self.io.bytes_in.add(n as u64);
-        Ok(n)
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl std::io::Write for CountingStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.io.bytes_out.add(n as u64);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Serves one connection until close, timeout, error, or shutdown.
-///
-/// The stream is wrapped in one `BufReader` for the connection's whole
-/// lifetime, so pipelined bytes the buffer over-reads are retained for the
-/// next keep-alive iteration and head parsing costs no per-byte syscalls.
-#[cfg(not(target_os = "linux"))]
-fn handle_connection(stream: TcpStream, ctx: &Ctx) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(ctx.config.keep_alive))?;
-    // A peer that stops *reading* must not pin the handler either: every
-    // blocked response write gives up after the same idle budget.
-    stream.set_write_timeout(Some(ctx.config.keep_alive))?;
-    stream.set_nodelay(true)?;
-    let stream = CountingStream {
-        inner: stream,
-        io: ctx.metrics.reactor(0),
-    };
-    let mut reader = std::io::BufReader::new(stream);
-    let mut timeline = Timeline::new();
-    loop {
-        let head = match read_head(&mut reader) {
-            Ok(h) => h,
-            Err(RequestError::Closed) | Err(RequestError::Io(_)) => return Ok(()),
-            Err(RequestError::Bad { status, msg }) => {
-                let _ = write_response(reader.get_mut(), status, &error_body(&msg), true);
-                return Ok(());
-            }
-        };
-        // The blocking fallback can't observe the first byte's arrival
-        // (it is inside the blocking head read), so the timeline starts
-        // at head completion and `head_parse` reads as ~0 here.
-        if ctx.config.instrument {
-            timeline.start();
-            timeline.mark(Stage::HeadParse);
-        }
-        let close = head.close;
-        if head.method == "POST" && head.path == "/v2/score" {
-            // Streams report through their own counters, not the
-            // request-stage histograms.
-            timeline.reset();
-            let keep = stream_score(&mut reader, &head, ctx)?;
-            if close || !keep {
-                reader.get_mut().flush()?;
-                return Ok(());
-            }
-            continue;
-        }
-        let mut trace = begin_req_trace(ctx, &head, 0);
-        let body = match read_sized_body(&mut reader, &head) {
-            Ok(b) => b,
-            Err(RequestError::Closed) | Err(RequestError::Io(_)) => return Ok(()),
-            Err(RequestError::Bad { status, msg }) => {
-                let _ = write_response(reader.get_mut(), status, &error_body(&msg), true);
-                return Ok(());
-            }
-        };
-        timeline.mark(Stage::Body);
-        let request = Request {
-            method: head.method,
-            path: head.path,
-            body,
-            close,
-        };
-        // Scoring runs synchronously inside `dispatch` here, so the
-        // enqueue/score split the reactor core records collapses into one
-        // `score` mark. The trace context is planted for the batcher to
-        // capture (a remote engine parents its fan-out spans under it).
-        hics_obs::trace::set_current(trace.as_ref().map(ReqTrace::context));
-        let (status, body) = dispatch(&request, ctx);
-        hics_obs::trace::set_current(None);
-        timeline.mark(Stage::Score);
-        if let Some(rt) = trace.as_mut() {
-            rt.status = status;
-        }
-        let echo = trace
-            .as_ref()
-            .filter(|rt| rt.explicit)
-            .map(ReqTrace::header);
-        write_response_traced(
-            reader.get_mut(),
-            status,
-            content_type_for(&request.path, status),
-            &body,
-            close,
-            echo.as_deref(),
-        )?;
-        timeline.mark(Stage::Flush);
-        let trace_id = trace.as_ref().map(|rt| rt.trace_id);
-        if let Some(rt) = trace {
-            finish_req_trace(ctx, rt, &timeline);
-        }
-        ctx.metrics
-            .observe_request(&ctx.config, &request.path, &mut timeline, trace_id);
-        if close {
-            reader.get_mut().flush()?;
-            return Ok(());
-        }
     }
 }
 
@@ -1010,93 +794,6 @@ pub(crate) fn score_stream_line(raw: &[u8], ctx: &Ctx) -> Result<(f64, bool), St
         (Ok(score), partial) => Ok((score, partial)),
         (Err(e), _) => Err(e.to_string()),
     }
-}
-
-/// `POST /v2/score`: the streaming NDJSON scoring loop. Returns whether the
-/// connection may be kept alive (body fully consumed, no protocol damage).
-#[cfg(not(target_os = "linux"))]
-fn stream_score(
-    reader: &mut std::io::BufReader<CountingStream>,
-    head: &RequestHead,
-    ctx: &Ctx,
-) -> std::io::Result<bool> {
-    ctx.stream_stats.streams.inc();
-    // Responses interleave with body reads, so the write side works on a
-    // dup of the socket while the BufReader keeps the read side.
-    let mut writer = std::io::BufWriter::new(reader.get_ref().try_clone()?);
-    // Inside a stream the tighter idle timeout applies — on both
-    // directions: a client that goes silent, or one that stops reading its
-    // scores until our send buffer fills, is cut off after `stream_idle`,
-    // not `keep_alive`.
-    reader
-        .get_ref()
-        .set_read_timeout(Some(ctx.config.stream_idle))?;
-    reader
-        .get_ref()
-        .set_write_timeout(Some(ctx.config.stream_idle))?;
-    write_chunked_head(&mut writer, 200, "application/x-ndjson", head.close)?;
-
-    // The byte budget lives inside the reader, charged per consumed byte —
-    // a body with no newlines at all still hits it.
-    let mut body = BodyReader::new(reader, head, ctx.config.max_stream_bytes);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut line_no = 0u64;
-    let mut keep = true;
-    loop {
-        match body.read_line(&mut buf, ctx.config.max_line_bytes) {
-            Ok(status @ (LineRead::Line | LineRead::End)) => {
-                let done = status == LineRead::End;
-                if !buf.iter().all(u8::is_ascii_whitespace) {
-                    line_no += 1;
-                    let out = stream_line(score_stream_line(&buf, ctx), line_no, &ctx.stream_stats);
-                    write_chunk(&mut writer, out.as_bytes())?;
-                }
-                if done {
-                    break;
-                }
-            }
-            Ok(LineRead::TooLong) => {
-                line_no += 1;
-                let msg = format!(
-                    "line exceeds {} bytes and was discarded",
-                    ctx.config.max_line_bytes
-                );
-                let out = stream_line(Err(msg), line_no, &ctx.stream_stats);
-                write_chunk(&mut writer, out.as_bytes())?;
-            }
-            Err(BodyError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let msg = format!(
-                    "stream idle for more than {:?}; closing",
-                    ctx.config.stream_idle
-                );
-                let out = stream_line(Err(msg), line_no, &ctx.stream_stats);
-                let _ = write_chunk(&mut writer, out.as_bytes());
-                keep = false;
-                break;
-            }
-            Err(BodyError::Io(e)) => return Err(e),
-            Err(e @ (BodyError::Protocol(_) | BodyError::TooLarge { .. })) => {
-                // Broken framing or a blown byte budget; report and drop
-                // the connection (it cannot be resynchronised / trusted).
-                let out = stream_line(Err(e.to_string()), line_no, &ctx.stream_stats);
-                let _ = write_chunk(&mut writer, out.as_bytes());
-                keep = false;
-                break;
-            }
-        }
-    }
-    finish_chunked(&mut writer)?;
-    let finished = body.finished();
-    reader
-        .get_ref()
-        .set_read_timeout(Some(ctx.config.keep_alive))?;
-    reader
-        .get_ref()
-        .set_write_timeout(Some(ctx.config.keep_alive))?;
-    Ok(keep && finished)
 }
 
 /// Extracts one numeric row of the model's arity.

@@ -8,7 +8,7 @@ use hics_data::SyntheticConfig;
 use hics_outlier::QueryEngine;
 use hics_serve::{ServeConfig, Server, ShutdownHandle};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 struct RunningServer {
@@ -241,5 +241,49 @@ fn malformed_requests_get_4xx_not_hangs() {
         "GET /no-such-route HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
     );
     assert_eq!(status, 404);
+
+    // Framing the reactor rejects before any body is read. Each request is
+    // sent whole (no bytes past what the server consumes), so the server's
+    // close after answering is a clean FIN, never a reset.
+    let mut oversized_head = String::from("GET / HTTP/1.1\r\nX-Pad: ");
+    let pad = hics_serve::http::MAX_HEAD_BYTES + 1 - oversized_head.len();
+    oversized_head.push_str(&"a".repeat(pad));
+    for (request, want, msg) in [
+        (
+            "POST /score HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            411,
+            "chunked bodies are not supported; send Content-Length",
+        ),
+        (
+            "POST /score HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+            413,
+            "body of 99999999999 bytes exceeds limit",
+        ),
+        (oversized_head.as_str(), 431, "request head too large"),
+    ] {
+        let mut stream = TcpStream::connect(server.addr).expect("connect");
+        let (status, body) = roundtrip(&mut stream, request);
+        assert_eq!(status, want, "{body}");
+        assert!(body.contains(msg), "{body}");
+    }
+
+    // The peer half-closes mid-head and mid-body.
+    for (request, msg) in [
+        (
+            "POST /score HTTP/1.1\r\nHost: t\r\n",
+            "connection closed mid-request",
+        ),
+        (
+            "POST /score HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort",
+            "connection closed mid-body",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(server.addr).expect("connect");
+        stream.write_all(request.as_bytes()).expect("send");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let (status, body) = read_response(&mut stream);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(msg), "{body}");
+    }
     server.stop();
 }
