@@ -66,7 +66,7 @@ use hics_data::arff::{read_arff_file, ArffReader};
 use hics_data::csv::{read_csv_file, write_csv_file, CsvData, CsvReader};
 use hics_data::manifest::{PartitionKind, ShardAggregation, ShardManifest};
 use hics_data::model::{NormKind, ScorerKind, ScorerSpec};
-use hics_data::{DatasetSource, HicsError, HicsModel, ModelArtifact, RouteTable, SyntheticConfig};
+use hics_data::{DatasetSource, HicsError, HicsModel, RouteTable, SyntheticConfig};
 use hics_eval::report::{Stopwatch, TextTable};
 use hics_eval::roc::roc_auc;
 use hics_outlier::{Engine, EngineHandle, IndexKind, QueryEngine, RemoteEngine};
@@ -402,33 +402,24 @@ fn parse_load(args: &Args) -> Result<LoadMode, ArgError> {
 }
 
 /// Opens the model file at `path` as a ready-to-serve engine: a plain
-/// artifact through the zero-copy mmap path or the heap-materialising one
-/// (bit-identical scores; see `crates/core/tests/serve_equivalence.rs`),
-/// a sharded manifest as the cross-shard ensemble (every shard mapped).
+/// artifact through the zero-copy mmap path (adopting a matching
+/// `<artifact>.hoods` sidecar) or the heap-materialising one (bit-identical
+/// scores; see `crates/core/tests/serve_equivalence.rs`), a sharded
+/// manifest as the cross-shard ensemble (every shard mapped).
 fn open_engine(
     path: &Path,
     mode: LoadMode,
     index: Option<IndexKind>,
     max_threads: usize,
 ) -> Result<Engine, HicsError> {
-    if hics_data::peek_artifact_version(path)? == hics_data::manifest::MANIFEST_VERSION {
-        if mode == LoadMode::Heap {
-            return Err(HicsError::InvalidInput(
-                "sharded manifests are served zero-copy; drop --load heap".into(),
-            ));
-        }
-        return Engine::open_mmap(path, index, max_threads);
-    }
     match mode {
-        LoadMode::Mmap => {
-            let artifact = Arc::new(ModelArtifact::open_mmap(path)?);
-            Ok(Engine::Single(QueryEngine::from_artifact(
-                artifact,
-                index,
-                max_threads,
-            )))
-        }
+        LoadMode::Mmap => Engine::open_mmap(path, index, max_threads),
         LoadMode::Heap => {
+            if hics_data::peek_artifact_version(path)? == hics_data::manifest::MANIFEST_VERSION {
+                return Err(HicsError::InvalidInput(
+                    "sharded manifests are served zero-copy; drop --load heap".into(),
+                ));
+            }
             let model = HicsModel::load(path)?;
             Ok(Engine::Single(QueryEngine::from_model_with_index(
                 &model,
@@ -1257,4 +1248,57 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     }
     print!("{}", table.render());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fits a small model on `seed`'s data, saves it under `dir` with its
+    /// hoods sidecar, and returns the artifact path plus the data.
+    fn fitted(dir: &Path, seed: u64) -> (PathBuf, hics_data::Dataset) {
+        let g = SyntheticConfig::new(200, 6).with_seed(seed).generate();
+        let mut params = HicsParams::paper_defaults();
+        params.search.m = 15;
+        params.search.candidate_cutoff = 30;
+        params.search.top_k = 8;
+        params.search.max_threads = 1;
+        let path = dir.join(format!("model{seed}.hics"));
+        FitBuilder::new(params)
+            .fit(&g.dataset)
+            .save(&path)
+            .expect("save artifact");
+        hics_outlier::write_hoods_sidecar(&path, 1).expect("write sidecar");
+        (path, g.dataset)
+    }
+
+    #[test]
+    fn mmap_open_adopts_a_matching_sidecar_and_ignores_a_stale_one() {
+        let dir = std::env::temp_dir().join(format!("hics-cli-open-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (model, data) = fitted(&dir, 3);
+        let (other, _) = fitted(&dir, 4);
+        let rows: Vec<Vec<f64>> = (0..data.n()).step_by(17).map(|i| data.row(i)).collect();
+
+        let adopted = open_engine(&model, LoadMode::Mmap, None, 1).expect("open");
+        assert!(
+            adopted.index_stats().precomputed,
+            "matching sidecar adopted"
+        );
+
+        // Another model's sidecar next to this artifact is stale: the open
+        // computes the neighbourhoods itself, with the same scores.
+        std::fs::copy(
+            hics_outlier::PrecomputedHoods::sidecar_path(&other),
+            hics_outlier::PrecomputedHoods::sidecar_path(&model),
+        )
+        .expect("replace sidecar");
+        let computed = open_engine(&model, LoadMode::Mmap, None, 1).expect("open");
+        assert!(!computed.index_stats().precomputed, "stale sidecar ignored");
+        for row in &rows {
+            let (a, b) = (adopted.score(row), computed.score(row));
+            assert_eq!(a.expect("score").to_bits(), b.expect("score").to_bits());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -11,6 +11,13 @@
 //! **sort-free, allocation-free** test on the selection: Welch accumulates
 //! streaming moments over the set bits, KS and Mann–Whitney walk the
 //! precomputed marginal order with `O(1)` mask probes.
+//!
+//! The `M` iterations are independent, so the estimator draws them in
+//! batches of [`LANES`] (in RNG order) and tests each batch in one
+//! [`DeviationTest::deviations`] call. Welch runs a batch's Welford
+//! accumulators side by side, overlapping their division chains; each
+//! lane's moments, and hence every contrast value, are bit-identical to
+//! testing the slices one at a time.
 
 use crate::slice::{SliceSampler, SliceSizing, SliceView};
 use crate::subspace::Subspace;
@@ -18,6 +25,7 @@ use hics_data::{ColumnsView, Dataset, RankIndex};
 use hics_stats::ecdf::Ecdf;
 use hics_stats::masked::{
     masked_ks_distance, masked_ks_test, masked_mann_whitney, masked_mean_variance,
+    masked_mean_variance_lanes, MaskedLane, LANES,
 };
 use hics_stats::moments::Moments;
 use hics_stats::rank::argsort;
@@ -68,12 +76,24 @@ pub trait DeviationTest: Sync {
     /// between marginal and conditional distribution.
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64;
 
+    /// Writes the deviation of every slice to `out` (`out[i]` for
+    /// `slices[i]`), each against `marginals[slice.ref_attr]` — the form the
+    /// contrast estimate calls. Every slice has at least two members.
+    /// Results must equal [`DeviationTest::deviation`] bit for bit; the
+    /// default calls it per slice.
+    fn deviations(&self, marginals: &[MarginalStats], slices: &[SliceView<'_>], out: &mut [f64]) {
+        for (slice, out) in slices.iter().zip(out) {
+            *out = self.deviation(&marginals[slice.ref_attr], slice);
+        }
+    }
+
     /// Test name for experiment output.
     fn name(&self) -> &'static str;
 }
 
 /// `HiCS_WT`: Welch's t-test; deviation is `1 − p` (paper Section III-E).
-/// The conditional moments stream over the selection's set bits.
+/// The conditional moments stream over the selection's set bits, up to
+/// [`LANES`] selections side by side in [`DeviationTest::deviations`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WelchDeviation;
 
@@ -81,6 +101,23 @@ impl DeviationTest for WelchDeviation {
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64 {
         let cond = masked_mean_variance(slice.column(), slice.iter_ids());
         1.0 - welch_t_test_from_moments(&marginal.moments, &cond).p_value
+    }
+
+    fn deviations(&self, marginals: &[MarginalStats], slices: &[SliceView<'_>], out: &mut [f64]) {
+        for (slices, out) in slices.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let mut lanes = [MaskedLane::default(); LANES];
+            for (lane, slice) in lanes.iter_mut().zip(slices) {
+                *lane = MaskedLane {
+                    values: slice.column(),
+                    words: slice.mask().words(),
+                };
+            }
+            let conds = masked_mean_variance_lanes(&lanes[..slices.len()]);
+            for ((out, slice), cond) in out.iter_mut().zip(slices).zip(&conds) {
+                let marginal = &marginals[slice.ref_attr].moments;
+                *out = 1.0 - welch_t_test_from_moments(marginal, cond).p_value;
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -314,22 +351,38 @@ impl<'a> ContrastEstimator<'a> {
         self.contrast_loop(sampler, &mut rng)
     }
 
-    /// The shared `M`-iteration Monte-Carlo loop of Algorithm 1.
+    /// The shared `M`-iteration Monte-Carlo loop of Algorithm 1: slices
+    /// are drawn and tested in batches of up to [`LANES`], and summed in
+    /// draw order.
     fn contrast_loop(&self, sampler: &mut SliceSampler<'_>, rng: &mut StdRng) -> f64 {
         let mut acc = 0.0;
-        for _ in 0..self.m {
-            let slice = sampler.draw(rng);
-            acc += if slice.len() < 2 {
-                // A (near-)empty slice is essentially impossible under
-                // independence (expected size N·α₁^(|S|−1)); observing one is
-                // itself maximal evidence of dependence. Moment-based tests
-                // cannot express this, so score it explicitly.
-                1.0
-            } else {
-                self.test
-                    .deviation(&self.marginals[slice.ref_attr], &slice)
-                    .clamp(0.0, 1.0)
-            };
+        let mut left = self.m;
+        while left > 0 {
+            let batch = sampler.draw_batch(rng, left.min(LANES));
+            left -= batch.len();
+            // A (near-)empty slice is essentially impossible under
+            // independence (expected size N·α₁^(|S|−1)); observing one is
+            // itself maximal evidence of dependence. Moment-based tests
+            // cannot express this, so it scores 1 without a test.
+            let mut tested = [batch[0]; LANES];
+            let mut count = 0;
+            for slice in batch.iter().filter(|s| s.len() >= 2) {
+                tested[count] = *slice;
+                count += 1;
+            }
+            let mut devs = [0.0; LANES];
+            self.test
+                .deviations(&self.marginals, &tested[..count], &mut devs[..count]);
+            let mut devs = devs.iter();
+            for slice in batch.iter() {
+                acc += if slice.len() < 2 {
+                    1.0
+                } else {
+                    devs.next()
+                        .expect("one deviation per tested slice")
+                        .clamp(0.0, 1.0)
+                };
+            }
         }
         acc / self.m as f64
     }
@@ -478,6 +531,70 @@ mod tests {
             let fresh = est.contrast(sub, 77);
             assert_eq!(reused, fresh, "subspace {sub}");
         }
+    }
+
+    /// Algorithm 1 one slice at a time — draw, then `deviation` — as the
+    /// reference the batched loop must reproduce bit for bit. Also returns
+    /// how many slices had fewer than two members.
+    fn serial_contrast(
+        data: &Dataset,
+        test: &dyn DeviationTest,
+        sub: &Subspace,
+        m: usize,
+        alpha: f64,
+        seed: u64,
+    ) -> (f64, usize) {
+        let indices = data.rank_index();
+        let mut sampler = SliceSampler::new(data, &indices, sub, alpha, SliceSizing::ExactAlpha);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut acc, mut short) = (0.0, 0);
+        for _ in 0..m {
+            let slice = sampler.draw(&mut rng);
+            acc += if slice.len() < 2 {
+                short += 1;
+                1.0
+            } else {
+                let marginal = MarginalStats::from_column(data.col(slice.ref_attr));
+                test.deviation(&marginal, &slice).clamp(0.0, 1.0)
+            };
+        }
+        (acc / m as f64, short)
+    }
+
+    #[test]
+    fn batched_contrast_matches_serial_reference() {
+        let tests: [&dyn DeviationTest; 3] = [&WelchDeviation, &KsDeviation, &MwuDeviation];
+        let subspaces = [
+            Subspace::pair(0, 1),
+            Subspace::new([1, 2, 4]),
+            Subspace::new([0, 2, 3, 5]),
+        ];
+        // The second fixture is small enough that some slices come out
+        // with fewer than two members, which skip the test.
+        let mut short = 0;
+        for (n, alpha) in [(300, 0.1), (60, 0.01)] {
+            let g = hics_data::SyntheticConfig::new(n, 6)
+                .with_seed(21)
+                .generate();
+            for m in [1, 2, LANES - 1, LANES, LANES + 1, 50] {
+                for test in tests {
+                    let est =
+                        ContrastEstimator::new(&g.dataset, m, alpha, SliceSizing::ExactAlpha, test);
+                    for sub in &subspaces {
+                        let got = est.contrast_with_rng(sub, &mut StdRng::seed_from_u64(5));
+                        let (want, s) = serial_contrast(&g.dataset, test, sub, m, alpha, 5);
+                        short += s;
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} M={m} N={n} {sub}: {got} vs {want}",
+                            test.name()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(short > 0, "no slice with fewer than two members was drawn");
     }
 
     #[test]

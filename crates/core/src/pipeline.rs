@@ -196,23 +196,7 @@ impl FitBuilder {
         self.observer
             .phase_finished("search", search_start.elapsed().as_nanos() as u64);
         let model_subspaces = to_model_subspaces(&report.result);
-        let index = match self.index {
-            IndexKind::Brute => None,
-            IndexKind::VpTree => {
-                self.observer.phase_started("index");
-                let index_start = Instant::now();
-                let trees = model_subspaces
-                    .iter()
-                    .map(|s| {
-                        let view = SubspaceView::new(&trained, &s.dims);
-                        VpTree::build(&view).into_data()
-                    })
-                    .collect();
-                self.observer
-                    .phase_finished("index", index_start.elapsed().as_nanos() as u64);
-                Some(ModelIndex { trees })
-            }
-        };
+        let index = self.build_index(&ColumnsView::from_dataset(&trained), &model_subspaces);
         let mut model = HicsModel::new(
             trained,
             norm_kind,
@@ -223,6 +207,28 @@ impl FitBuilder {
         );
         model.set_index(index);
         model
+    }
+
+    /// The model's neighbour index over `view`: nothing for brute force, or
+    /// one VP-tree per subspace, built in parallel under the search's
+    /// thread cap. Each tree is a deterministic function of its columns, so
+    /// the thread count never changes the artifact.
+    fn build_index(
+        &self,
+        view: &ColumnsView<'_>,
+        subspaces: &[ModelSubspace],
+    ) -> Option<ModelIndex> {
+        if self.index == IndexKind::Brute {
+            return None;
+        }
+        self.observer.phase_started("index");
+        let index_start = Instant::now();
+        let trees = par_map(subspaces.len(), self.params.search.max_threads, |i| {
+            VpTree::build(&SubspaceView::from_columns_view(view, &subspaces[i].dims)).into_data()
+        });
+        self.observer
+            .phase_finished("index", index_start.elapsed().as_nanos() as u64);
+        Some(ModelIndex { trees })
     }
 
     /// The artifact aggregation for the pipeline's configuration.
@@ -272,23 +278,7 @@ impl FitBuilder {
         self.observer
             .phase_finished("search", search_start.elapsed().as_nanos() as u64);
         let model_subspaces = to_model_subspaces(&report.result);
-        let index = match self.index {
-            IndexKind::Brute => None,
-            IndexKind::VpTree => {
-                self.observer.phase_started("index");
-                let index_start = Instant::now();
-                let trees = model_subspaces
-                    .iter()
-                    .map(|s| {
-                        let sub = SubspaceView::from_columns_view(&view, &s.dims);
-                        VpTree::build(&sub).into_data()
-                    })
-                    .collect();
-                self.observer
-                    .phase_finished("index", index_start.elapsed().as_nanos() as u64);
-                Some(ModelIndex { trees })
-            }
-        };
+        let index = self.build_index(&view, &model_subspaces);
         self.observer.phase_started("save");
         let save_start = Instant::now();
         save_model_streaming(

@@ -21,9 +21,13 @@
 //! 3. the statistical test consumes the selection as a borrowed
 //!    [`SliceView`]: set-bit iteration for streaming moments, rank probes
 //!    for the sort-free KS / Mann–Whitney walks.
+//!
+//! The sampler holds [`LANES`] selection masks, so a contrast estimate can
+//! draw a [`SliceBatch`] of consecutive slices and test them side by side.
 
 use crate::subspace::Subspace;
 use hics_data::{ColumnsView, Dataset, RankIndex, SliceMask};
+use hics_stats::masked::LANES;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -63,9 +67,9 @@ pub struct SliceSample {
 }
 
 /// A borrowed view of one drawn slice: the selection bitset plus the
-/// reference attribute's column. Lives until the next
-/// [`SliceSampler::draw`]; nothing is copied.
-#[derive(Debug)]
+/// reference attribute's column. Lives until the sampler draws again;
+/// nothing is copied.
+#[derive(Debug, Clone, Copy)]
 pub struct SliceView<'a> {
     /// The attribute whose marginal/conditional distributions are compared.
     pub ref_attr: usize,
@@ -122,11 +126,28 @@ impl<'a> SliceView<'a> {
     }
 }
 
+/// Up to [`LANES`] slices drawn in RNG order by
+/// [`SliceSampler::draw_batch`]; derefs to their views, first drawn first.
+#[derive(Debug)]
+pub struct SliceBatch<'a> {
+    views: [SliceView<'a>; LANES],
+    len: usize,
+}
+
+impl<'a> std::ops::Deref for SliceBatch<'a> {
+    type Target = [SliceView<'a>];
+
+    fn deref(&self) -> &[SliceView<'a>] {
+        &self.views[..self.len]
+    }
+}
+
 /// Draws adaptive subspace slices for one subspace.
 ///
-/// Holds the selection mask, the per-attribute condition-mask cache and the
-/// permutation scratch, so the `M` Monte-Carlo iterations of a contrast
-/// computation perform **zero heap allocations** after the first draw.
+/// Holds [`LANES`] selection masks, the per-attribute condition-mask cache
+/// and the permutation scratch, so the `M` Monte-Carlo iterations of a
+/// contrast computation perform **zero heap allocations** after the first
+/// draw.
 ///
 /// The cache keeps, for every subspace attribute, the block mask of its most
 /// recent condition together with the block's start position. Across the `M`
@@ -146,10 +167,17 @@ pub struct SliceSampler<'a> {
     sizing: SliceSizing,
     /// Scratch: permutation of `dims`.
     perm: Vec<usize>,
-    /// Scratch: the selection bitset, reused across draws.
-    mask: SliceMask,
+    /// The selections of the last batch, reused across draws and retargets.
+    lanes: Vec<Lane>,
     /// Per-attribute cached condition masks, aligned with `dims`.
     cache: Vec<CachedCondition>,
+}
+
+/// One drawn selection: its bitset, reference attribute and size.
+struct Lane {
+    mask: SliceMask,
+    ref_attr: usize,
+    len: usize,
 }
 
 /// One attribute's cached condition mask: the materialised rank window
@@ -229,7 +257,13 @@ impl<'a> SliceSampler<'a> {
             block_len,
             alpha,
             sizing,
-            mask: SliceMask::new(n),
+            lanes: (0..LANES)
+                .map(|_| Lane {
+                    mask: SliceMask::new(n),
+                    ref_attr: 0,
+                    len: 0,
+                })
+                .collect(),
             cache,
         }
     }
@@ -293,10 +327,48 @@ impl<'a> SliceSampler<'a> {
     /// allocation, no `O(N)` per-object scan, and the selection is the same
     /// bit pattern the uncached sampler produced.
     pub fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SliceView<'_> {
+        self.draw_lane(rng, 0);
+        self.view(0)
+    }
+
+    /// Draws `count` consecutive slices, consuming the RNG exactly as
+    /// `count` calls to [`SliceSampler::draw`] would, and returns them
+    /// together.
+    ///
+    /// # Panics
+    /// Panics if `count` is 0 or exceeds [`LANES`].
+    pub fn draw_batch<R: Rng + ?Sized>(&mut self, rng: &mut R, count: usize) -> SliceBatch<'_> {
+        assert!(
+            (1..=LANES).contains(&count),
+            "a batch holds 1..={LANES} slices, not {count}"
+        );
+        for lane in 0..count {
+            self.draw_lane(rng, lane);
+        }
+        SliceBatch {
+            views: std::array::from_fn(|lane| self.view(lane)),
+            len: count,
+        }
+    }
+
+    /// The selection last drawn into `lane`.
+    fn view(&self, lane: usize) -> SliceView<'_> {
+        let lane = &self.lanes[lane];
+        SliceView {
+            ref_attr: lane.ref_attr,
+            col: self.view.col(lane.ref_attr),
+            mask: &lane.mask,
+            len: lane.len,
+        }
+    }
+
+    /// Draws one slice into `lane`'s mask (see [`SliceSampler::draw`]).
+    fn draw_lane<R: Rng + ?Sized>(&mut self, rng: &mut R, lane: usize) {
         let n = self.view.n();
         self.perm.copy_from_slice(&self.dims);
         self.perm.shuffle(rng);
         let (&ref_attr, cond_attrs) = self.perm.split_last().expect("subspace is non-empty");
+        let out = &mut self.lanes[lane];
 
         // The final AND is fused with the popcount (one pass instead of
         // two); a 2-d subspace has a single condition, whose size is the
@@ -351,21 +423,16 @@ impl<'a> SliceSampler<'a> {
 
             let cond_mask = &self.cache[slot].mask;
             if ci == 0 {
-                self.mask.copy_from(cond_mask);
+                out.mask.copy_from(cond_mask);
             } else if ci == cond_attrs.len() - 1 {
-                fused_len = Some(self.mask.and_assign_popcount(cond_mask));
+                fused_len = Some(out.mask.and_assign_popcount(cond_mask));
             } else {
-                self.mask.and_assign(cond_mask);
+                out.mask.and_assign(cond_mask);
             }
         }
+        out.ref_attr = ref_attr;
         // A single condition selects exactly one block of `block_len` ids.
-        let len = fused_len.unwrap_or(self.block_len);
-        SliceView {
-            ref_attr,
-            col: self.view.col(ref_attr),
-            mask: &self.mask,
-            len,
-        }
+        out.len = fused_len.unwrap_or(self.block_len);
     }
 
     /// Draws one slice and materialises it (compatibility path for tests,

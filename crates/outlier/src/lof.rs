@@ -127,12 +127,17 @@ pub(crate) fn lrd_from_reach_sum(neighbors: usize, sum_reach: f64) -> f64 {
 
 /// Computes LOF values given precomputed k-distance neighbourhoods.
 pub fn lof_from_neighborhoods(hoods: &[Neighborhood]) -> Vec<f64> {
-    let lrd = lrd_from_neighborhoods(hoods);
+    lof_from_lrd(hoods, &lrd_from_neighborhoods(hoods))
+}
+
+/// LOF values from the neighbourhoods and their already computed densities
+/// (`lrd = lrd_from_neighborhoods(hoods)`), for callers that keep both.
+pub(crate) fn lof_from_lrd(hoods: &[Neighborhood], lrd: &[f64]) -> Vec<f64> {
     // LOF = mean of neighbour lrd ratios.
     hoods
         .iter()
         .enumerate()
-        .map(|(i, h)| lof_of_query(&lrd, &h.neighbors, lrd[i]))
+        .map(|(i, h)| lof_of_query(lrd, &h.neighbors, lrd[i]))
         .collect()
 }
 

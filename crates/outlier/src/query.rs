@@ -26,9 +26,7 @@ use crate::aggregate::Aggregation;
 use crate::distance::SubspaceLayout;
 use crate::index::{knn_all_indexed, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
-use crate::lof::{
-    lof_from_neighborhoods, lof_of_query, lrd_from_neighborhoods, lrd_from_reach_sum,
-};
+use crate::lof::{lof_from_lrd, lof_of_query, lrd_from_neighborhoods, lrd_from_reach_sum};
 use crate::parallel::par_map;
 use crate::precompute::{PrecomputedHoods, SubspaceHoods};
 use hics_data::model::{AggregationKind, HicsModel, ModelIndex, NormParam, ScorerKind, ScorerSpec};
@@ -385,7 +383,7 @@ impl QueryEngine {
                     let (lrd, batch_scores) = match kind {
                         ScorerKind::Lof => {
                             let lrd = lrd_from_neighborhoods(&hoods);
-                            let scores = lof_from_neighborhoods(&hoods);
+                            let scores = lof_from_lrd(&hoods, &lrd);
                             (lrd, scores)
                         }
                         ScorerKind::KnnMean | ScorerKind::KnnKth => {

@@ -39,6 +39,140 @@ pub fn masked_mean_variance(values: &[f64], ids: impl IntoIterator<Item = u32>) 
     m
 }
 
+/// Number of lanes [`masked_mean_variance_lanes`] advances side by side.
+///
+/// One Welford push carries a division on the loop-carried `mean` chain,
+/// so a single accumulator runs at the division's latency; independent
+/// accumulators overlap in the pipeline instead. Picked by measurement: a
+/// paper-default Welch contrast evaluation (N = 10⁴, d = 20, M = 50) took
+/// about 1.7, 1.3 and 1.4 ms with 2, 4 and 8 lanes, against 2.2 ms one
+/// slice at a time (x86-64 Sapphire Rapids, 2 vCPUs).
+pub const LANES: usize = 4;
+
+/// Values a lane gathers per round of [`masked_mean_variance_lanes`].
+const CHUNK: usize = 256;
+
+/// One lane of [`masked_mean_variance_lanes`]: a value column and the
+/// selection bitset over its ids (bit `id & 63` of word `id >> 6`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaskedLane<'a> {
+    /// Values indexed by object id.
+    pub values: &'a [f64],
+    /// The selection, one bit per object id.
+    pub words: &'a [u64],
+}
+
+/// [`masked_mean_variance`] over up to [`LANES`] selections at once: entry
+/// `l` of the result equals `masked_mean_variance` over `lanes[l]`'s values
+/// and set bits, bit for bit; entries past `lanes.len()` are empty.
+///
+/// Every lane pushes its values in ascending id order through the
+/// unchanged [`MeanVariance::push`]; only the interleaving across lanes
+/// differs, so the independent Welford chains overlap instead of waiting
+/// on each other's divisions. Lanes advance in rounds: each gathers the
+/// values of its next [`CHUNK`] or so set bits, then all [`LANES`]
+/// accumulators take the same number of steps. A lane whose selection is
+/// used up (or that was never given) keeps stepping on zeros in a
+/// discarded accumulator, which keeps the inner loop a fixed width.
+///
+/// # Panics
+/// Panics if more than [`LANES`] lanes are given, or a set bit names an id
+/// outside its lane's `values`.
+pub fn masked_mean_variance_lanes(lanes: &[MaskedLane<'_>]) -> [MeanVariance; LANES] {
+    assert!(
+        lanes.len() <= LANES,
+        "{} lanes exceed the kernel width {LANES}",
+        lanes.len()
+    );
+    let mut bufs: [LaneBuffer<'_>; LANES] =
+        std::array::from_fn(|l| LaneBuffer::new(lanes.get(l).copied().unwrap_or_default()));
+    let mut acc = [MeanVariance::new(); LANES];
+    let mut out = [MeanVariance::new(); LANES];
+    while bufs.iter().any(|b| b.left > 0) {
+        for b in &mut bufs {
+            b.refill();
+        }
+        let steps = bufs
+            .iter()
+            .filter(|b| b.left > 0)
+            .map(|b| b.buffered)
+            .min()
+            .unwrap_or(0);
+        for k in 0..steps {
+            for (a, b) in acc.iter_mut().zip(&bufs) {
+                a.push(b.values[k]);
+            }
+        }
+        for (l, b) in bufs.iter_mut().enumerate() {
+            if b.consume(steps) {
+                out[l] = acc[l];
+            }
+        }
+    }
+    out
+}
+
+/// Capacity of a lane's value buffer: one chunk plus one word's worth,
+/// since refilling stops only once a chunk is full.
+const BUFFER: usize = CHUNK + 64;
+
+/// A lane's selection, gathered into values a round at a time. A used-up
+/// lane's buffer holds zeros, which its discarded accumulator steps on.
+struct LaneBuffer<'a> {
+    lane: MaskedLane<'a>,
+    /// The next word to decode.
+    word: usize,
+    /// Set bits not yet pushed.
+    left: usize,
+    /// Gathered values waiting in `values[..buffered]`.
+    values: [f64; BUFFER],
+    buffered: usize,
+}
+
+impl<'a> LaneBuffer<'a> {
+    fn new(lane: MaskedLane<'a>) -> Self {
+        Self {
+            lane,
+            word: 0,
+            left: lane.words.iter().map(|w| w.count_ones() as usize).sum(),
+            values: [0.0; BUFFER],
+            buffered: 0,
+        }
+    }
+
+    /// Decodes and gathers whole words until a chunk of values is buffered
+    /// or every remaining set bit is.
+    fn refill(&mut self) {
+        let (words, values) = (self.lane.words, self.lane.values);
+        while self.buffered < CHUNK && self.buffered < self.left {
+            let mut rest = words[self.word];
+            let base = self.word << 6;
+            self.word += 1;
+            let count = rest.count_ones() as usize;
+            for v in &mut self.values[self.buffered..self.buffered + count] {
+                *v = values[base | rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+            }
+            self.buffered += count;
+        }
+    }
+
+    /// Drops the first `steps` buffered values; returns whether that used
+    /// the selection up, and if so zeroes the buffer for the idle steps.
+    fn consume(&mut self, steps: usize) -> bool {
+        if self.left == 0 {
+            return false;
+        }
+        self.values.copy_within(steps..self.buffered, 0);
+        self.buffered -= steps;
+        self.left -= steps;
+        if self.left == 0 {
+            self.values = [0.0; BUFFER];
+        }
+        self.left == 0
+    }
+}
+
 /// The two-sample KS distance `sup |F_marginal − F_conditional|` where the
 /// conditional sample is `{order[k] : in_slice(order[k])}` with `m` members.
 ///
@@ -299,6 +433,49 @@ mod tests {
         let (order, sorted, _, m) = materialised(&values, &selected);
         let d = masked_ks_distance(&order, &sorted, m, |id| selected[id as usize]);
         assert!((d - 0.75).abs() < 1e-15);
+    }
+
+    #[test]
+    fn lanes_match_masked_mean_variance_bitwise() {
+        let (values, _) = fixture(1000, 5);
+        let words: Vec<Vec<u64>> = (0..LANES as u64)
+            .map(|salt| {
+                let (_, selected) = fixture(1000, 100 + salt);
+                let mut w = vec![0u64; 1000usize.div_ceil(64)];
+                for id in (0..1000).filter(|&id| selected[id] || id % (3 + salt as usize) == 0) {
+                    w[id >> 6] |= 1 << (id & 63);
+                }
+                w
+            })
+            .collect();
+        let lanes: Vec<MaskedLane> = words
+            .iter()
+            .map(|w| MaskedLane {
+                values: &values,
+                words: w,
+            })
+            .collect();
+        let got = masked_mean_variance_lanes(&lanes);
+        for (l, w) in words.iter().enumerate() {
+            let ids = (0..1000u32).filter(|&id| w[id as usize >> 6] >> (id & 63) & 1 == 1);
+            assert_eq!(got[l], masked_mean_variance(&values, ids), "lane {l}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn lanes_reject_ids_beyond_the_values() {
+        let words = [0u64, 1];
+        masked_mean_variance_lanes(&[MaskedLane {
+            values: &[1.0; 64],
+            words: &words,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the kernel width")]
+    fn lanes_reject_more_than_the_width() {
+        masked_mean_variance_lanes(&[MaskedLane::default(); LANES + 1]);
     }
 
     #[test]

@@ -3,13 +3,52 @@
 
 use hics_stats::dist::{ChiSquared, Normal, StudentsT};
 use hics_stats::ecdf::Ecdf;
-use hics_stats::moments::Moments;
+use hics_stats::masked::{masked_mean_variance, masked_mean_variance_lanes, MaskedLane, LANES};
+use hics_stats::moments::{MeanVariance, Moments};
 use hics_stats::special::{betai, erf, erfc, gammap, gammaq, ln_gamma};
 use hics_stats::two_sample::{ks_test, mann_whitney_u, welch_t_test};
 use proptest::prelude::*;
 
 fn finite_sample(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e4..1e4f64, 3..max_len)
+}
+
+/// One lane's column and selection, drawn from `seed`: `n` values (with
+/// ties) and a bitset whose size follows `kind` — exactly 0, 1 or 2
+/// members, or a sparse, medium, dense or full selection.
+fn lane_fixture(seed: u64, n: usize, kind: u64) -> (Vec<f64>, Vec<u64>) {
+    let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let values: Vec<f64> = (0..n)
+        .map(|_| (next() % 2001) as f64 / 8.0 - 125.0)
+        .collect();
+    let mut words = vec![0u64; n.div_ceil(64)];
+    let mut set = |id: usize| words[id >> 6] |= 1 << (id & 63);
+    match kind {
+        0 => {}
+        1 => set(next() as usize % n),
+        2 => {
+            let a = next() as usize % n;
+            set(a);
+            if n > 1 {
+                set((a + 1 + next() as usize % (n - 1)) % n);
+            }
+        }
+        _ => {
+            let per_mille = [30, 178, 316, 900, 1000][(kind - 3) as usize % 5];
+            for id in 0..n {
+                if next() % 1000 < per_mille {
+                    set(id);
+                }
+            }
+        }
+    }
+    (values, words)
 }
 
 proptest! {
@@ -141,5 +180,31 @@ proptest! {
         let q = e.quantile(p);
         // At least p of the sample is <= q.
         prop_assert!(e.eval(q) >= p - 1e-9);
+    }
+
+    #[test]
+    fn mean_variance_lanes_match_one_lane_at_a_time(
+        seed in any::<u64>(),
+        count in 0..LANES + 1,
+        n in 1..700usize,
+        kinds in prop::collection::vec(0..8u64, LANES),
+    ) {
+        // Each lane gets its own column length and selection size, so the
+        // lanes run out at different rounds.
+        let fixtures: Vec<(Vec<f64>, Vec<u64>)> = (0..count)
+            .map(|l| lane_fixture(seed ^ l as u64, n + 37 * l, kinds[l]))
+            .collect();
+        let lanes: Vec<MaskedLane> = fixtures
+            .iter()
+            .map(|(values, words)| MaskedLane { values, words })
+            .collect();
+        let got = masked_mean_variance_lanes(&lanes);
+        for (l, (values, words)) in fixtures.iter().enumerate() {
+            let ids = (0..values.len() as u32).filter(|&id| words[id as usize >> 6] >> (id & 63) & 1 == 1);
+            prop_assert_eq!(got[l], masked_mean_variance(values, ids));
+        }
+        for unused in &got[count..] {
+            prop_assert_eq!(*unused, MeanVariance::new());
+        }
     }
 }
